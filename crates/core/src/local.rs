@@ -35,14 +35,15 @@ use std::sync::Arc;
 /// Which factorization backs the local solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LocalSolverKind {
-    /// Dense below [`AUTO_DENSE_LIMIT`] unknowns, sparse (RCM) above.
+    /// Dense below [`AUTO_DENSE_LIMIT`] unknowns; above, sparse Cholesky
+    /// under the fill-reducing nested-dissection ordering
+    /// ([`SparseCholesky::factor_nd`]).
     #[default]
     Auto,
     /// Dense Cholesky.
     Dense,
-    /// Sparse up-looking Cholesky in natural order.
-    Sparse,
-    /// Sparse Cholesky with reverse Cuthill–McKee pre-ordering.
+    /// Sparse Cholesky with reverse Cuthill–McKee pre-ordering (the
+    /// bandwidth-reducing reference for [`Auto`](Self::Auto)).
     SparseRcm,
 }
 
@@ -185,13 +186,12 @@ impl LocalSystem {
         let matrix = sub.matrix.add_to_diagonal(&diag_add);
         let factor = match kind {
             LocalSolverKind::Dense => Factor::Dense(DenseCholesky::factor_csr(&matrix)?),
-            LocalSolverKind::Sparse => Factor::Sparse(SparseCholesky::factor(&matrix)?),
             LocalSolverKind::SparseRcm => Factor::Sparse(SparseCholesky::factor_rcm(&matrix)?),
             LocalSolverKind::Auto => {
                 if n <= AUTO_DENSE_LIMIT {
                     Factor::Dense(DenseCholesky::factor_csr(&matrix)?)
                 } else {
-                    Factor::Sparse(SparseCholesky::factor_rcm(&matrix)?)
+                    Factor::Sparse(SparseCholesky::factor_nd(&matrix)?)
                 }
             }
         };
@@ -586,7 +586,6 @@ mod tests {
         let z = vec![0.5; sd.n_ports()];
         let kinds = [
             LocalSolverKind::Dense,
-            LocalSolverKind::Sparse,
             LocalSolverKind::SparseRcm,
             LocalSolverKind::Auto,
         ];
@@ -602,6 +601,31 @@ mod tests {
             for (u, v) in r.iter().zip(&results[0]) {
                 assert!((u - v).abs() < 1e-9);
             }
+        }
+    }
+
+    #[test]
+    fn auto_factors_parts_above_the_dense_limit_with_nd() {
+        let a = generators::grid2d_random(24, 24, 1.0, 5);
+        let b = generators::random_rhs(576, 6);
+        let g = ElectricGraph::from_system(a, b).unwrap();
+        let asg = dtm_graph::partition::grid_blocks(24, 24, 2, 2);
+        let plan = PartitionPlan::from_assignment(&g, &asg).unwrap();
+        let ss = split(&g, &plan, &EvsOptions::default()).unwrap();
+        let sd = &ss.subdomains[0];
+        assert!(sd.n_local() > AUTO_DENSE_LIMIT);
+        let z = vec![0.5; sd.n_ports()];
+        let mut auto = LocalSystem::new(sd, &z, LocalSolverKind::Auto).unwrap();
+        let mut rcm = LocalSystem::new(sd, &z, LocalSolverKind::SparseRcm).unwrap();
+        let nd = SparseCholesky::factor_nd(&auto.matrix).unwrap();
+        assert_eq!(*auto.factor, Factor::Sparse(nd));
+        for ls in [&mut auto, &mut rcm] {
+            for p in 0..sd.n_ports() {
+                ls.set_remote(p, 0.1 * p as f64, -0.05 * p as f64);
+            }
+        }
+        for (u, v) in auto.solve().to_vec().iter().zip(rcm.solve()) {
+            assert!((u - v).abs() < 1e-9);
         }
     }
 
@@ -629,11 +653,7 @@ mod tests {
         let sd = &ss.subdomains[0];
         let z = [0.2, 0.1];
         let cols: Vec<Vec<f64>> = vec![sd.rhs.clone(), vec![1.0, -2.0, 0.5], vec![0.0, 3.0, -1.0]];
-        for kind in [
-            LocalSolverKind::Dense,
-            LocalSolverKind::Sparse,
-            LocalSolverKind::SparseRcm,
-        ] {
+        for kind in [LocalSolverKind::Dense, LocalSolverKind::SparseRcm] {
             let mut block = LocalSystem::new_block(sd, &z, kind, &cols).unwrap();
             assert_eq!(block.n_rhs(), 3);
             for c in 0..3 {

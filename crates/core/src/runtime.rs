@@ -878,7 +878,7 @@ pub fn reference_solution(split: &SplitSystem, reference: Option<Vec<f64>>) -> R
         Some(r) => Ok(r),
         None => {
             let (a, b) = split.reconstruct();
-            Ok(SparseCholesky::factor_rcm(&a)?.solve(&b))
+            Ok(SparseCholesky::factor_nd(&a)?.solve(&b))
         }
     }
 }
@@ -886,8 +886,12 @@ pub fn reference_solution(split: &SplitSystem, reference: Option<Vec<f64>>) -> R
 /// Block form of [`reference_solution`]: the direct solutions
 /// `x*_c = A⁻¹ b_c` for every RHS column, sharing **one** factorization of
 /// the reconstructed `A`. `rhs_cols = None` means the split's own
-/// right-hand side (the scalar pipeline). Passing `Some(references)` skips
-/// the factorization entirely.
+/// right-hand side (the scalar pipeline). Column `c` is solved for the
+/// right-hand side the torn system actually carries: its scattered local
+/// sources summed back per vertex in [`SplitSystem::reconstruct`]'s order,
+/// so a column equal to the split's own sources gets the scalar pipeline's
+/// reference bit for bit. Passing `Some(references)` skips the
+/// factorization entirely.
 ///
 /// # Errors
 /// Propagates factorization failure of the reconstructed system.
@@ -907,11 +911,27 @@ pub fn reference_solutions(
         return Ok(refs);
     }
     let (a, b) = split.reconstruct();
-    let factor = SparseCholesky::factor_rcm(&a)?;
+    let factor = SparseCholesky::factor_nd(&a)?;
     Ok(match rhs_cols {
         None => vec![factor.solve(&b)],
-        Some(cols) => cols.iter().map(|c| factor.solve(c)).collect(),
+        Some(cols) => cols
+            .iter()
+            .map(|c| factor.solve(&reconstructed_rhs(split, c)))
+            .collect(),
     })
+}
+
+/// The global right-hand side a split carries for column `b`: its
+/// scattered local sources ([`SplitSystem::scatter_rhs`]) summed back per
+/// vertex, in [`SplitSystem::reconstruct`]'s order.
+fn reconstructed_rhs(split: &SplitSystem, b: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; split.original_n];
+    for (sd, local) in split.subdomains.iter().zip(split.scatter_rhs(b)) {
+        for (&g, v) in sd.global_of_local.iter().zip(local) {
+            out[g] += v;
+        }
+    }
+    out
 }
 
 /// Resolve the (now opt-in) oracle references for a run: an explicitly

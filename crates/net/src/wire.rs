@@ -300,7 +300,7 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
             e.u8(match p.solver_kind {
                 LocalSolverKind::Auto => 0,
                 LocalSolverKind::Dense => 1,
-                LocalSolverKind::Sparse => 2,
+                // Tag 2 was the retired natural-order sparse kind.
                 LocalSolverKind::SparseRcm => 3,
             });
             e.termination(p.termination);
@@ -576,7 +576,6 @@ pub fn decode(payload: &[u8]) -> Result<Msg> {
             let solver_kind = match d.u8()? {
                 0 => LocalSolverKind::Auto,
                 1 => LocalSolverKind::Dense,
-                2 => LocalSolverKind::Sparse,
                 3 => LocalSolverKind::SparseRcm,
                 _ => return Err(parse_err("unknown solver kind")),
             };

@@ -244,6 +244,48 @@ fn garbage_headers_error_never_panic() {
     assert!(decode(&snap).is_err());
 }
 
+#[test]
+fn solver_kind_tags_decode_and_retired_tag_is_rejected() {
+    // The solver kind is the one byte where an `Auto` and a `Dense` plan
+    // differ.
+    let encode_kind = |kind| {
+        encode(&Msg::Plan(Box::new(GroupPlan {
+            solver_kind: kind,
+            ..real_plan()
+        })))
+    };
+    let auto = encode_kind(LocalSolverKind::Auto);
+    let dense = encode_kind(LocalSolverKind::Dense);
+    let diff: Vec<usize> = (0..auto.len()).filter(|&i| auto[i] != dense[i]).collect();
+    assert_eq!(diff.len(), 1);
+    let at = diff[0];
+    assert_eq!((auto[at], dense[at]), (0, 1));
+    for (tag, kind) in [
+        (0u8, LocalSolverKind::Auto),
+        (1, LocalSolverKind::Dense),
+        (3, LocalSolverKind::SparseRcm),
+    ] {
+        let mut frame = auto.clone();
+        frame[at] = tag;
+        assert_eq!(frame, encode_kind(kind), "tag {tag}");
+        let Ok(Msg::Plan(plan)) = decode(&frame) else {
+            panic!("tag {tag} must decode to a plan");
+        };
+        assert_eq!(plan.solver_kind, kind);
+    }
+    // Tag 2 (the retired natural-order sparse kind) and unassigned tags
+    // are typed errors.
+    for tag in [2u8, 4, 255] {
+        let mut frame = auto.clone();
+        frame[at] = tag;
+        let err = decode(&frame).expect_err("retired or unknown solver kind");
+        assert!(
+            err.to_string().contains("unknown solver kind"),
+            "tag {tag}: {err}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 

@@ -8,7 +8,8 @@
 //! * dense Cholesky ([`cholesky::DenseCholesky`]) and LDLᵀ,
 //! * an up-looking sparse Cholesky with elimination-tree symbolic analysis
 //!   ([`sparse_cholesky::SparseCholesky`]),
-//! * reverse Cuthill–McKee fill-reducing ordering ([`ordering`]),
+//! * fill-reducing orderings ([`ordering`]): graph nested dissection (the
+//!   default for sparse factors) and reverse Cuthill–McKee,
 //! * the classic sequential iterative solvers used as baselines
 //!   (Jacobi, Gauss–Seidel, SOR, Conjugate Gradient in [`solvers`]),
 //! * seeded workload generators for every experiment in the paper

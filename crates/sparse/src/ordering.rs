@@ -1,7 +1,12 @@
-//! Permutations and the reverse Cuthill–McKee (RCM) fill-reducing ordering.
+//! Permutations and fill-reducing orderings for the sparse Cholesky used
+//! for DTM local systems.
 //!
-//! RCM narrows the bandwidth of symmetric sparse matrices, which directly
-//! reduces fill-in of the sparse Cholesky used for DTM local systems.
+//! [`nested_dissection`] orders separators last, so eliminating one side
+//! of a separator creates no fill in the other; it is the default
+//! ([`crate::SparseCholesky::factor_nd`]). Reverse Cuthill–McKee
+//! ([`reverse_cuthill_mckee`]) narrows the bandwidth instead and is kept
+//! as the reference. Both search from pseudo-peripheral vertices found by
+//! repeated BFS ([`pseudo_peripheral_in`]).
 
 use crate::csr::Csr;
 use crate::error::{Error, Result};
@@ -95,13 +100,14 @@ pub fn reverse_cuthill_mckee(a: &Csr) -> Permutation {
     let mut visited = vec![false; n];
     let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
     let mut nbrs: Vec<usize> = Vec::new();
+    let mut scratch = BfsScratch::new(n);
 
     // Process components in order of their minimum-degree unvisited vertex.
     while let Some(start) = (0..n)
         .filter(|&v| !visited[v])
         .min_by_key(|&v| (degree[v], v))
     {
-        let root = pseudo_peripheral_in(a, start, |_| true);
+        let root = pseudo_peripheral_with(a, start, |_| true, &mut scratch);
         visited[root] = true;
         queue.push_back(root);
         while let Some(v) = queue.pop_front() {
@@ -120,6 +126,192 @@ pub fn reverse_cuthill_mckee(a: &Csr) -> Permutation {
     Permutation { new_to_old: order }
 }
 
+/// Largest vertex set [`nested_dissection`] leaves undivided; a leaf keeps
+/// its index order.
+pub const ND_LEAF: usize = 64;
+
+/// Graph nested-dissection ordering of a symmetric sparse matrix: a
+/// fill-reducing ordering for [`crate::SparseCholesky::factor_nd`].
+///
+/// Every dissection step takes a vertex set larger than [`ND_LEAF`]. If the
+/// set is disconnected, its components are laid out one after another and
+/// each is dissected on its own. Otherwise a BFS from a pseudo-peripheral
+/// root ([`pseudo_peripheral_in`]) splits it into level sets, and the
+/// smallest level with at least 30% of the set on either side becomes the
+/// separator. Its vertices with no neighbour in the far side are moved to
+/// the near side. The near side, then the far side, are ordered first and
+/// dissected in turn; the separator is ordered last. No edge joins the two
+/// sides, so eliminating either side creates no fill in the other.
+///
+/// The result is a pure function of the matrix's pattern (no hashing, no
+/// threads). One BFS scratch and one stamp array are shared by every step,
+/// so a step costs time in its own vertex set and edges, not in `n`.
+pub fn nested_dissection(a: &Csr) -> Permutation {
+    dissect(a, |_, _, _| {})
+}
+
+/// [`nested_dissection`], handing every dissection step's near side, far
+/// side and separator to `on_split` (the tests check the separators).
+fn dissect(a: &Csr, mut on_split: impl FnMut(&[usize], &[usize], &[usize])) -> Permutation {
+    let n = a.n_rows();
+    let mut new_to_old: Vec<usize> = (0..n).collect();
+    let mut scratch = BfsScratch::new(n);
+    // Vertex `v` belongs to the set being dissected iff `stamp[v] == tag`;
+    // every step draws fresh tags, so no step clears the array.
+    let mut stamp = vec![0usize; n];
+    let mut next_tag = 0usize;
+    let mut components: Vec<usize> = Vec::new();
+    let mut tasks = vec![(0usize, n)];
+    while let Some((lo, hi)) = tasks.pop() {
+        let set = &mut new_to_old[lo..hi];
+        if set.len() <= ND_LEAF {
+            set.sort_unstable();
+            continue;
+        }
+        next_tag += 1;
+        let tag = next_tag;
+        for &v in set.iter() {
+            stamp[v] = tag;
+        }
+        let start = set.iter().copied().min().unwrap_or(0);
+        pseudo_peripheral_with(a, start, |v| stamp[v] == tag, &mut scratch);
+
+        if scratch.order.len() < set.len() {
+            // Disconnected: lay the components out in turn, each a task.
+            let mut at = 0usize;
+            for &v in set.iter() {
+                if stamp[v] != tag {
+                    continue;
+                }
+                scratch.bfs(a, v, |c| stamp[c] == tag);
+                for &c in &scratch.order {
+                    stamp[c] = 0;
+                }
+                let len = scratch.order.len();
+                tasks.push((lo + at, lo + at + len));
+                components.extend_from_slice(&scratch.order);
+                at += len;
+            }
+            set.copy_from_slice(&components);
+            components.clear();
+            continue;
+        }
+
+        // Connected: the BFS levels from the pseudo-peripheral root. The
+        // separator is the smallest level that leaves at least 30% of the
+        // set on either side (the level at the halfway mark if none does).
+        let lp = &scratch.level_ptr;
+        let levels = lp.len() - 1;
+        if levels < 3 {
+            set.sort_unstable();
+            continue;
+        }
+        let size = set.len();
+        let mid = (1..levels - 1)
+            .find(|&k| 2 * lp[k + 1] >= size)
+            .unwrap_or(levels - 2);
+        let sep = (1..levels - 1)
+            .filter(|&k| 10 * lp[k] >= 3 * size && 10 * (size - lp[k + 1]) >= 3 * size)
+            .min_by_key(|&k| (lp[k + 1] - lp[k], k.abs_diff(mid)))
+            .unwrap_or(mid);
+        let (s0, s1) = (lp[sep], lp[sep + 1]);
+        let (near, far) = (tag + 1, tag + 2);
+        next_tag += 2;
+        for &v in &scratch.order[..s0] {
+            stamp[v] = near;
+        }
+        for &v in &scratch.order[s1..] {
+            stamp[v] = far;
+        }
+        // `tag` now marks the separator. A separator vertex with no
+        // neighbour on the far side joins the near side.
+        let mut n_near = s0;
+        for &v in &scratch.order[s0..s1] {
+            if !a.row(v).any(|(c, _)| stamp[c] == far) {
+                stamp[v] = near;
+                n_near += 1;
+            }
+        }
+        let n_far = size - s1;
+        let (mut i_near, mut i_far, mut i_sep) = (0, n_near, n_near + n_far);
+        for &v in &scratch.order {
+            let slot = if stamp[v] == near {
+                &mut i_near
+            } else if stamp[v] == far {
+                &mut i_far
+            } else {
+                &mut i_sep
+            };
+            set[*slot] = v;
+            *slot += 1;
+        }
+        set[n_near + n_far..].sort_unstable();
+        let (near_side, rest) = set.split_at(n_near);
+        let (far_side, separator) = rest.split_at(n_far);
+        on_split(near_side, far_side, separator);
+        tasks.push((lo + n_near, lo + n_near + n_far));
+        tasks.push((lo, lo + n_near));
+    }
+    Permutation { new_to_old }
+}
+
+/// Caller-owned scratch for repeated breadth-first searches over vertex
+/// subsets of one graph ([`pseudo_peripheral_with`]). Each search clears
+/// only the vertices it reached, so a search costs time in the subset it
+/// explores, not in the size of the whole graph.
+#[derive(Debug, Default)]
+struct BfsScratch {
+    /// Reached by the search in progress; all `false` between searches.
+    seen: Vec<bool>,
+    /// Vertices reached by the last search, in BFS order.
+    order: Vec<usize>,
+    /// Level `k` of the last search is `order[level_ptr[k]..level_ptr[k + 1]]`.
+    level_ptr: Vec<usize>,
+}
+
+impl BfsScratch {
+    /// Scratch for graphs of `n` vertices.
+    fn new(n: usize) -> Self {
+        Self {
+            seen: vec![false; n],
+            ..Self::default()
+        }
+    }
+
+    /// BFS from `root` over the subgraph induced by `active` (which `root`
+    /// must satisfy), level by level; returns the eccentricity of `root`.
+    fn bfs(&mut self, a: &Csr, root: usize, active: impl Fn(usize) -> bool) -> usize {
+        self.order.clear();
+        self.level_ptr.clear();
+        self.level_ptr.push(0);
+        self.seen[root] = true;
+        self.order.push(root);
+        let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
+        let mut lo = 0;
+        loop {
+            let hi = self.order.len();
+            for i in lo..hi {
+                let v = self.order[i];
+                for &c in &col_idx[row_ptr[v]..row_ptr[v + 1]] {
+                    if c != v && !self.seen[c] && active(c) {
+                        self.seen[c] = true;
+                        self.order.push(c);
+                    }
+                }
+            }
+            self.level_ptr.push(hi);
+            if self.order.len() == hi {
+                break;
+            }
+            lo = hi;
+        }
+        for &v in &self.order {
+            self.seen[v] = false;
+        }
+        self.level_ptr.len() - 2
+    }
+}
+
 /// Find a pseudo-peripheral vertex of the subgraph induced by `active`,
 /// starting from `start` (which must satisfy `active`): repeat BFS from
 /// the farthest minimum-degree vertex of the last level until the
@@ -129,41 +321,31 @@ pub fn reverse_cuthill_mckee(a: &Csr) -> Permutation {
 /// it with every vertex active); it is public so graph partitioners can
 /// seed bisections of vertex subsets from the same notion of "far corner".
 pub fn pseudo_peripheral_in(a: &Csr, start: usize, active: impl Fn(usize) -> bool) -> usize {
-    let n = a.n_rows();
+    pseudo_peripheral_with(a, start, active, &mut BfsScratch::new(a.n_rows()))
+}
+
+/// [`pseudo_peripheral_in`] over caller-owned scratch. On return the
+/// scratch holds the BFS levels from the returned root, which cover the
+/// connected component of `start`.
+fn pseudo_peripheral_with(
+    a: &Csr,
+    start: usize,
+    active: impl Fn(usize) -> bool,
+    scratch: &mut BfsScratch,
+) -> usize {
     // Degree within the active subgraph, for the last-level tie-break.
     let deg = |v: usize| a.row(v).filter(|&(c, _)| c != v && active(c)).count();
     let mut root = start;
     let mut last_ecc = 0usize;
-    let mut level = vec![usize::MAX; n];
     loop {
-        level.iter_mut().for_each(|l| *l = usize::MAX);
-        level[root] = 0;
-        let mut frontier = vec![root];
-        let mut ecc = 0usize;
-        let mut last_level: Vec<usize> = vec![root];
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for (c, _) in a.row(v) {
-                    if c != v && active(c) && level[c] == usize::MAX {
-                        level[c] = level[v] + 1;
-                        ecc = ecc.max(level[c]);
-                        next.push(c);
-                    }
-                }
-            }
-            if !next.is_empty() {
-                last_level = next.clone();
-            }
-            frontier = next;
-        }
+        let ecc = scratch.bfs(a, root, &active);
         if ecc <= last_ecc {
             return root;
         }
         last_ecc = ecc;
-        // `last_level` only ever holds a non-empty BFS level; keep the
-        // current root if that invariant were ever violated.
-        root = last_level
+        // The last level is never empty; keep the current root if it were.
+        let last = &scratch.order[scratch.level_ptr[ecc]..];
+        root = last
             .iter()
             .copied()
             .min_by_key(|&v| (deg(v), v))
@@ -268,6 +450,164 @@ mod tests {
         let mut sorted = p.new_to_old().to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    /// A symmetric diagonally dominant matrix over the undirected `edges`
+    /// (self-loops and repeats dropped); vertices without edges are
+    /// isolated.
+    fn graph(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Csr {
+        let mut coo = Coo::new(n, n);
+        let mut degree = vec![0.0; n];
+        let mut seen = std::collections::BTreeSet::new();
+        for (u, v) in edges {
+            let (u, v) = (u.min(v), u.max(v));
+            if u != v && seen.insert((u, v)) {
+                coo.push_sym(u, v, -1.0).unwrap();
+                degree[u] += 1.0;
+                degree[v] += 1.0;
+            }
+        }
+        for (i, d) in degree.iter().enumerate() {
+            coo.push(i, i, d + 1.0).unwrap();
+        }
+        coo.to_csr()
+    }
+
+    /// A `w × h` grid graph with each edge dropped when the next draw of a
+    /// `seed`-ed xorshift falls below `drop_pct` percent (disconnected
+    /// pieces and isolated vertices for large `drop_pct`).
+    fn holed_grid(w: usize, h: usize, drop_pct: u64, seed: u64) -> Csr {
+        let mut state = seed | 1;
+        let mut keep = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % 100 >= drop_pct
+        };
+        let mut edges = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                let v = y * w + x;
+                if x + 1 < w && keep() {
+                    edges.push((v, v + 1));
+                }
+                if y + 1 < h && keep() {
+                    edges.push((v, v + w));
+                }
+            }
+        }
+        graph(w * h, edges)
+    }
+
+    /// Check `a`'s ND ordering: a valid permutation, the same on a second
+    /// run, and at every dissection step two nonempty sides with no edge
+    /// between them and a nonempty separator. Returns the step count.
+    fn check_nd(a: &Csr) -> usize {
+        let n = a.n_rows();
+        let mut side = vec![0u8; n];
+        let mut steps = 0;
+        let p = dissect(a, |near, far, sep| {
+            steps += 1;
+            assert!(!near.is_empty() && !far.is_empty() && !sep.is_empty());
+            for &v in near {
+                side[v] = 1;
+            }
+            for &v in far {
+                side[v] = 2;
+            }
+            for &v in near {
+                assert!(
+                    a.row(v).all(|(c, _)| side[c] != 2),
+                    "edge joins the two sides at vertex {v}"
+                );
+            }
+            for &v in near.iter().chain(far) {
+                side[v] = 0;
+            }
+        });
+        assert!(Permutation::from_new_to_old(p.new_to_old().to_vec()).is_ok());
+        assert_eq!(p.len(), n);
+        assert_eq!(nested_dissection(a), p, "ND must be deterministic");
+        steps
+    }
+
+    #[test]
+    fn nd_of_empty_and_single_vertex() {
+        assert!(nested_dissection(&Coo::new(0, 0).to_csr()).is_empty());
+        assert_eq!(nested_dissection(&graph(1, [])).new_to_old(), &[0]);
+    }
+
+    #[test]
+    fn nd_keeps_leaves_and_isolated_vertices_in_index_order() {
+        // One leaf, and a set of isolated vertices larger than a leaf:
+        // every component is its own singleton leaf, laid out in turn.
+        let small = path_graph(ND_LEAF);
+        assert_eq!(nested_dissection(&small), Permutation::identity(ND_LEAF));
+        let isolated = graph(3 * ND_LEAF, []);
+        assert_eq!(check_nd(&isolated), 0);
+        assert_eq!(
+            nested_dissection(&isolated),
+            Permutation::identity(3 * ND_LEAF)
+        );
+    }
+
+    #[test]
+    fn nd_orders_a_middle_vertex_of_a_path_last() {
+        let n = 4 * ND_LEAF;
+        let a = path_graph(n);
+        assert!(check_nd(&a) >= 3);
+        let last = nested_dissection(&a).new_to_old()[n - 1];
+        assert!(
+            (3 * n / 10..=7 * n / 10).contains(&last),
+            "separator vertex {last} of a {n}-path"
+        );
+    }
+
+    #[test]
+    fn nd_dissects_grids_and_their_components() {
+        // Two 20×20 grids side by side, no edge between them.
+        let g = holed_grid(20, 20, 0, 1);
+        let m = g.n_rows();
+        let edges = (0..m).flat_map(|r| {
+            g.row(r)
+                .filter(move |&(c, _)| c > r)
+                .flat_map(move |(c, _)| [(r, c), (r + m, c + m)])
+                .collect::<Vec<_>>()
+        });
+        let a = graph(2 * m, edges);
+        assert!(check_nd(&a) >= 4);
+        // Each grid occupies one contiguous half of the ordering.
+        let p = nested_dissection(&a);
+        let first: Vec<bool> = p.new_to_old().iter().map(|&v| v < m).collect();
+        assert!(first[..m].iter().all(|&f| f) || first[m..].iter().all(|&f| f));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Grids with random holes: connected, split, or shattered into
+        /// isolated vertices.
+        #[test]
+        fn nd_is_a_valid_deterministic_dissection_of_holed_grids(
+            w in 1usize..40,
+            h in 1usize..40,
+            drop_pct in 0u64..70,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            check_nd(&holed_grid(w, h, drop_pct, seed));
+        }
+
+        /// Random sparse graphs: small diameter, many components.
+        #[test]
+        fn nd_is_a_valid_deterministic_dissection_of_random_graphs(
+            n in 1usize..400,
+            edges in proptest::collection::vec((0usize..400, 0usize..400), 0..800),
+        ) {
+            check_nd(&graph(n, edges.into_iter().map(|(u, v)| (u % n, v % n))));
+        }
     }
 
     #[test]

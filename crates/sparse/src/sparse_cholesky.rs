@@ -11,15 +11,16 @@
 //!    a sparse triangular solve over the reach of row `k`.
 //!
 //! The factor is stored in CSC so that forward/backward substitution are
-//! column-oriented sweeps. An optional reverse Cuthill–McKee pre-ordering
-//! ([`SparseCholesky::factor_rcm`]) reduces fill.
+//! column-oriented sweeps. A nested-dissection pre-ordering
+//! ([`SparseCholesky::factor_nd`]) reduces fill; reverse Cuthill–McKee
+//! ([`SparseCholesky::factor_rcm`]) is kept as the bandwidth reference.
 //!
 //! This is the "Sparse Cholesky" the paper names as the local solver of DTM
 //! (§5: "(5.9) could be solved by Sparse or Dense Cholesky, CG, MG, etc.").
 
 use crate::csr::Csr;
 use crate::error::{Error, Result};
-use crate::ordering::{reverse_cuthill_mckee, Permutation};
+use crate::ordering::{nested_dissection, reverse_cuthill_mckee, Permutation};
 
 /// Widest supernode panel the blocked substitution sweeps at once. Bounds
 /// the dense triangular diagonal block so a panel's working set (panel
@@ -67,30 +68,7 @@ impl SparseCholesky {
         let n = a.n_rows();
         let parent = elimination_tree(a);
 
-        // --- Symbolic: column counts of L via row reaches. ---
-        let mut col_count = vec![1usize; n]; // diagonal of each column
-        {
-            let mut mark = vec![usize::MAX; n];
-            let mut stack = Vec::with_capacity(n);
-            for k in 0..n {
-                mark[k] = k;
-                for (j0, _) in a.row(k).filter(|&(c, _)| c < k) {
-                    let mut j = j0;
-                    stack.clear();
-                    while mark[j] != k {
-                        stack.push(j);
-                        mark[j] = k;
-                        j = match parent[j] {
-                            Some(p) => p,
-                            None => break,
-                        };
-                    }
-                    for &c in &stack {
-                        col_count[c] += 1;
-                    }
-                }
-            }
-        }
+        let col_count = column_counts(a, &parent);
 
         let mut col_ptr = vec![0usize; n + 1];
         for j in 0..n {
@@ -184,7 +162,18 @@ impl SparseCholesky {
     /// Factor with a reverse Cuthill–McKee pre-ordering; solves transparently
     /// permute/unpermute.
     pub fn factor_rcm(a: &Csr) -> Result<Self> {
-        let perm = reverse_cuthill_mckee(a);
+        Self::factor_permuted(a, reverse_cuthill_mckee(a))
+    }
+
+    /// Factor with a nested-dissection pre-ordering
+    /// ([`nested_dissection`]), the fill-reducing default; solves
+    /// transparently permute/unpermute.
+    pub fn factor_nd(a: &Csr) -> Result<Self> {
+        Self::factor_permuted(a, nested_dissection(a))
+    }
+
+    /// Factor `P A Pᵀ` for the ordering `perm` and keep `perm` for the solves.
+    fn factor_permuted(a: &Csr, perm: Permutation) -> Result<Self> {
         let pa = a.permute_sym(&perm);
         let mut f = Self::factor(&pa)?;
         f.perm = Some(perm);
@@ -551,6 +540,35 @@ fn detect_supernodes(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> Vec<usiz
     sn_ptr
 }
 
+/// Symbolic factorization: the nonzero count of every column of `L`
+/// (diagonal included), from the reach of each row of `A` in its
+/// elimination tree `parent`.
+fn column_counts(a: &Csr, parent: &[Option<usize>]) -> Vec<usize> {
+    let n = a.n_rows();
+    let mut col_count = vec![1usize; n]; // diagonal of each column
+    let mut mark = vec![usize::MAX; n];
+    let mut stack = Vec::with_capacity(n);
+    for k in 0..n {
+        mark[k] = k;
+        for (j0, _) in a.row(k).filter(|&(c, _)| c < k) {
+            let mut j = j0;
+            stack.clear();
+            while mark[j] != k {
+                stack.push(j);
+                mark[j] = k;
+                j = match parent[j] {
+                    Some(p) => p,
+                    None => break,
+                };
+            }
+            for &c in &stack {
+                col_count[c] += 1;
+            }
+        }
+    }
+    col_count
+}
+
 /// Elimination tree of a symmetric CSR matrix (None = root).
 ///
 /// Uses the ancestor path-compression algorithm; `parent[j]` is the smallest
@@ -651,6 +669,45 @@ mod tests {
     }
 
     #[test]
+    fn nd_variant_agrees_with_natural() {
+        let a = generators::grid3d_laplacian(7, 6, 5);
+        let f1 = SparseCholesky::factor(&a).unwrap();
+        let f2 = SparseCholesky::factor_nd(&a).unwrap();
+        let b: Vec<f64> = (0..a.n_rows()).map(|i| 1.0 / (1.0 + i as f64)).collect();
+        for (u, v) in f1.solve(&b).iter().zip(&f2.solve(&b)) {
+            assert!((u - v).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn column_counts_are_the_factor_fill() {
+        let a = generators::grid3d_laplacian(6, 5, 4);
+        let counts = column_counts(&a, &elimination_tree(&a));
+        assert_eq!(
+            counts.iter().sum::<usize>(),
+            SparseCholesky::factor(&a).unwrap().nnz_l()
+        );
+    }
+
+    #[test]
+    fn nd_fill_at_most_rcm_on_3d_grids() {
+        // Symbolic fill only: the numeric RCM factor at 20³ is slow in
+        // debug builds, and the column counts are its exact fill.
+        for side in 10..=20 {
+            let a = generators::grid3d_laplacian(side, side, side);
+            let fill = |p: &Permutation| {
+                let pa = a.permute_sym(p);
+                column_counts(&pa, &elimination_tree(&pa))
+                    .iter()
+                    .sum::<usize>()
+            };
+            let nd = fill(&nested_dissection(&a));
+            let rcm = fill(&reverse_cuthill_mckee(&a));
+            assert!(nd <= rcm, "{side}³: ND fill {nd} exceeds RCM fill {rcm}");
+        }
+    }
+
+    #[test]
     fn rcm_reduces_fill_on_shuffled_grid() {
         // Permute a grid randomly; RCM ordering should not produce more fill
         // than the shuffled natural ordering.
@@ -673,9 +730,9 @@ mod tests {
 
     #[test]
     fn block_solve_is_bitwise_k_scalar_solves() {
-        // Natural and RCM factors: the block path must reproduce the scalar
-        // path column for column, bit for bit.
-        let a = generators::grid2d_laplacian(6, 6);
+        // Natural, RCM and ND factors: the block path must reproduce the
+        // scalar path column for column, bit for bit.
+        let a = generators::grid2d_laplacian(12, 12);
         let n = a.n_rows();
         let k = 4;
         let cols: Vec<Vec<f64>> = (0..k)
@@ -684,6 +741,7 @@ mod tests {
         for f in [
             SparseCholesky::factor(&a).unwrap(),
             SparseCholesky::factor_rcm(&a).unwrap(),
+            SparseCholesky::factor_nd(&a).unwrap(),
         ] {
             let mut block: Vec<f64> = cols.iter().flatten().copied().collect();
             f.solve_block_in_place(&mut block, k);

@@ -1,7 +1,7 @@
 //! Property tests for the cache-blocked substitution kernels: on random
 //! SPD systems, a K-column block solve must agree with K independent
-//! scalar solves — for the sparse factor (natural and RCM orderings), the
-//! dense factor, and the retained column-major reference kernel.
+//! scalar solves — for the sparse factor (natural, RCM and ND orderings),
+//! the dense factor, and the retained column-major reference kernel.
 
 use dtm_sparse::{Coo, Csr, DenseCholesky, SparseCholesky};
 use proptest::prelude::*;
@@ -61,8 +61,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Sparse blocked solve (supernode-panel interleaved kernel) agrees
-    /// with K scalar solves to ≤ 1e-12 componentwise, across natural and
-    /// RCM orderings and K ∈ {1, 2, 8, 16}.
+    /// with K scalar solves to ≤ 1e-12 componentwise, across natural, RCM
+    /// and ND orderings and K ∈ {1, 2, 8, 16}.
     #[test]
     fn sparse_blocked_matches_k_scalar_solves(
         n in 4usize..40,
@@ -73,6 +73,7 @@ proptest! {
         for factor in [
             SparseCholesky::factor(&a).expect("SPD"),
             SparseCholesky::factor_rcm(&a).expect("SPD"),
+            SparseCholesky::factor_nd(&a).expect("SPD"),
         ] {
             for k in [1usize, 2, 8, 16] {
                 let xs = rhs_block(n, k, seed);
@@ -101,6 +102,7 @@ proptest! {
         for factor in [
             SparseCholesky::factor(&a).expect("SPD"),
             SparseCholesky::factor_rcm(&a).expect("SPD"),
+            SparseCholesky::factor_nd(&a).expect("SPD"),
         ] {
             for k in [1usize, 2, 8, 16] {
                 let xs = rhs_block(n, k, seed);
@@ -114,6 +116,31 @@ proptest! {
                         "n={n} k={k} component {i}: blocked {u:e} != colmajor {v:e}"
                     );
                 }
+            }
+        }
+    }
+
+    /// On systems large enough for nested dissection to split (more than
+    /// `ND_LEAF` unknowns), a K-column block solve over the ND factor is
+    /// bitwise K scalar solves.
+    #[test]
+    fn nd_blocked_is_bitwise_k_scalar_solves(
+        n in 65usize..200,
+        edges in proptest::collection::vec((0usize..200, 0usize..200, 0.1f64..1.5), 0..300),
+        seed in any::<u64>(),
+    ) {
+        let a = random_spd(n, &edges);
+        let factor = SparseCholesky::factor_nd(&a).expect("SPD");
+        for k in [1usize, 2, 8, 16] {
+            let xs = rhs_block(n, k, seed);
+            let mut blocked = xs.clone();
+            factor.solve_block_in_place(&mut blocked, k);
+            let scalar = scalar_columns(|col| factor.solve_in_place(col), &xs, n, k);
+            for (i, (u, v)) in blocked.iter().zip(&scalar).enumerate() {
+                prop_assert!(
+                    u.to_bits() == v.to_bits(),
+                    "n={n} k={k} component {i}: blocked {u:e} != scalar {v:e}"
+                );
             }
         }
     }
